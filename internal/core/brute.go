@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -84,9 +84,7 @@ func BruteForce(g graph.Topology, attrs *keywords.Attributes, q Query, opts Opti
 	// Candidates are scanned in increasing id order, so each group's
 	// members are already sorted; normalize anyway for safety.
 	for i := range groups {
-		sort.Slice(groups[i].Members, func(a, b int) bool {
-			return groups[i].Members[a] < groups[i].Members[b]
-		})
+		slices.Sort(groups[i].Members)
 	}
 	res := &Result{Groups: groups, QueryWidth: kq.Width(), Stats: stats}
 	if ctxErr != nil {

@@ -9,7 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -160,7 +160,9 @@ type Stats struct {
 	Pruned int64
 	// Filtered counts candidates removed by k-line filtering (Theorem 3).
 	Filtered int64
-	// OracleCalls counts social-distance checks.
+	// OracleCalls counts the social-distance checks actually made. The
+	// exact search memoises answers in conflict rows, so it asks about
+	// each pair of frontier vertices at most once.
 	OracleCalls int64
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64
@@ -231,19 +233,10 @@ func (r *Result) Best() int {
 // sortGroups orders groups by descending coverage, then ascending member
 // ids for determinism.
 func sortGroups(groups []Group) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		if groups[i].Coverage != groups[j].Coverage {
-			return groups[i].Coverage > groups[j].Coverage
+	slices.SortStableFunc(groups, func(a, b Group) int {
+		if a.Coverage != b.Coverage {
+			return b.Coverage - a.Coverage
 		}
-		return lessMembers(groups[i].Members, groups[j].Members)
+		return slices.Compare(a.Members, b.Members)
 	})
-}
-
-func lessMembers(a, b []graph.Vertex) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -87,15 +88,14 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 	for _, v := range kq.Candidates() {
 		base = append(base, cand{v, int32(kq.CoverageCount(v)), int32(g.Degree(v))})
 	}
-	sort.Slice(base, func(i, j int) bool {
-		a, b := base[i], base[j]
+	slices.SortFunc(base, func(a, b cand) int {
 		if a.cov != b.cov {
-			return a.cov > b.cov
+			return int(b.cov - a.cov)
 		}
 		if a.deg != b.deg {
-			return a.deg < b.deg
+			return int(a.deg - b.deg)
 		}
-		return a.v < b.v
+		return cmp.Compare(a.v, b.v)
 	})
 
 	var stats Stats
@@ -174,7 +174,7 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 			continue
 		}
 		members := append([]graph.Vertex(nil), group...)
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		key := fmt.Sprint(members)
 		if seen[key] {
 			continue

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ktg/internal/graph"
 	"ktg/internal/keywords"
@@ -188,11 +188,12 @@ func MergePartials(n int, parts []*PartialResult) (res *Result, exact bool, err 
 	// pruning-time threshold), so shards accept a superset of what
 	// single-node accepts and the replay's accept/reject decisions — and
 	// heap-internal displacement order — match single-node exactly.
-	sort.Slice(offers, func(i, j int) bool {
-		if offers[i].RootPos != offers[j].RootPos {
-			return offers[i].RootPos < offers[j].RootPos
+	// (RootPos, Seq) is unique: each root belongs to exactly one slice.
+	slices.SortFunc(offers, func(a, b PartialOffer) int {
+		if a.RootPos != b.RootPos {
+			return a.RootPos - b.RootPos
 		}
-		return offers[i].Seq < offers[j].Seq
+		return a.Seq - b.Seq
 	})
 	h := newTopN(n)
 	for _, o := range offers {

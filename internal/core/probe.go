@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -446,11 +447,11 @@ func MergeExplains(parts []*Explain, urls []string) *Explain {
 		}
 		m.Shards = append(m.Shards, se)
 	}
-	sort.SliceStable(m.Bounds, func(i, j int) bool {
-		if m.Bounds[i].ElapsedNS != m.Bounds[j].ElapsedNS {
-			return m.Bounds[i].ElapsedNS < m.Bounds[j].ElapsedNS
+	slices.SortStableFunc(m.Bounds, func(a, b BoundStep) int {
+		if c := cmp.Compare(a.ElapsedNS, b.ElapsedNS); c != 0 {
+			return c
 		}
-		return m.Bounds[i].Nodes < m.Bounds[j].Nodes
+		return cmp.Compare(a.Nodes, b.Nodes)
 	})
 	return m
 }

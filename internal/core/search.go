@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"time"
 
@@ -17,13 +18,19 @@ import (
 
 // deadlineCheckMask throttles wall-clock deadline and context checks:
 // both are consulted once every 128 node entries and once every 256
-// oracle calls inside the k-line filtering loop, so even a single deep
-// or filter-heavy subtree cannot overrun MaxDuration (or survive a
+// oracle calls inside the conflict-row fill, so even a single deep or
+// filter-heavy subtree cannot overrun MaxDuration (or survive a
 // cancellation) by more than a few hundred distance checks.
 const (
 	deadlineNodeMask   = 127
 	deadlineOracleMask = 255
 )
+
+// conflictRowBytes caps the memory one search spends on memoised
+// conflict rows. Past it, members get a reusable spare row: still
+// exact, just recomputed on every visit. It is a variable only so tests
+// can drive the over-cap path.
+var conflictRowBytes = 4 << 20
 
 // Search answers a KTG query exactly with the paper's branch-and-bound:
 // candidates are ranked by the configured Ordering, subtrees that cannot
@@ -106,15 +113,7 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 	}
 	s.ctx = opts.Context
 	s.checkAbort = s.hasDeadline || s.ctx != nil
-	if s.ordering == OrderVKCDegree {
-		s.deg = make([]int32, g.NumVertices())
-		for v := 0; v < g.NumVertices(); v++ {
-			s.deg[v] = int32(g.Degree(graph.Vertex(v)))
-		}
-	}
-	// Per-depth scratch: candidate buffers, covered-set buffers, and
-	// effort histograms.
-	s.candBuf = make([][]candidate, q.P)
+	// Per-depth scratch: covered-set buffers and effort histograms.
 	s.coverBuf = make([]bitset.Set, q.P+1)
 	for d := range s.coverBuf {
 		s.coverBuf[d] = bitset.New(kq.Width())
@@ -137,8 +136,9 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 			}
 		}
 	}
-	root := make([]candidate, 0, 64)
-	for _, v := range kq.Candidates() {
+	cands := kq.Candidates()
+	frontier := make([]candidate, 0, len(cands))
+	for _, v := range cands {
 		if excluded != nil && excluded[v] {
 			continue
 		}
@@ -154,9 +154,9 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 			s.stats.Filtered++
 			continue
 		}
-		root = append(root, candidate{v: v, key: int32(kq.CoverageCount(v)), deg: s.degree(v)})
+		frontier = append(frontier, candidate{v: v, key: int32(kq.CoverageCount(v))})
 	}
-	s.sortCandidates(root)
+	root := s.rankFrontier(g, frontier)
 	s.frontier = len(root)
 	s.stats.CandidateTime = time.Since(candStart)
 	if s.probe != nil {
@@ -192,7 +192,7 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		s.budgetHit = true
 		s.probe.abort(s.abortCause(), 0)
 	} else {
-		s.explore(root, s.coverBuf[0], 0)
+		s.explore(root, s.remBuf[0], s.coverBuf[0], 0)
 	}
 	s.stats.ExploreTime = time.Since(exploreStart)
 	if s.tracer != nil {
@@ -243,10 +243,13 @@ func (s *searcher) finishErr() error {
 	return fmt.Errorf("search aborted after %d nodes: %w", s.stats.Nodes, ErrBudgetExhausted)
 }
 
+// candidate is one member of S_R. rank is the vertex's static position
+// in the depth-0 frontier, which indexes every rank bitset and conflict
+// row of the search.
 type candidate struct {
-	v   graph.Vertex
-	key int32 // VKC count (or static coverage count under OrderQKC)
-	deg int32 // vertex degree (only set under OrderVKCDegree)
+	v    graph.Vertex
+	key  int32 // VKC count (or static coverage count under OrderQKC)
+	rank int32
 }
 
 type searcher struct {
@@ -265,12 +268,33 @@ type searcher struct {
 	tracer      obs.Tracer
 	probe       *Probe
 
-	deg      []int32
 	heap     *topN
 	stats    Stats
 	si       []graph.Vertex
-	candBuf  [][]candidate
 	coverBuf []bitset.Set
+
+	// Frontier-rank state, fixed by rankFrontier. byRank maps a rank to
+	// its vertex; remBuf[d] is the rank bitset of the candidates still
+	// ahead at depth d; candBuf[d] receives depth d's child S_R and
+	// scratch the survivors before they are ordered; keyCount is the
+	// counting sort's histogram over keys 0..|W_Q|. Rank bitsets are
+	// plain words rather than bitset.Set so one pass can filter, count
+	// and build the child set without per-bit range checks.
+	byRank   []graph.Vertex
+	words    int // uint64 words per rank bitset
+	remBuf   [][]uint64
+	candBuf  [][]candidate
+	scratch  []candidate
+	keyCount []int
+
+	// Conflict rows: rank r's row, once chosen as a member, lives at row
+	// rowAt[r]-1 of the rows slab (0 = none yet) as two rank bitsets,
+	// the pairs already resolved and those within K. spare is the
+	// uncached row handed out once the slab reaches conflictRowBytes.
+	rowAt    []int32
+	rows     []uint64
+	rowsUsed int
+	spare    []uint64
 
 	// Partial-search state: slice restricts depth-0 roots to a stride of
 	// the frontier and turns on offer recording; curRoot/rootSeq tag each
@@ -304,18 +328,61 @@ func (s *searcher) aborted() bool {
 	return false
 }
 
-func (s *searcher) degree(v graph.Vertex) int32 {
-	if s.deg == nil {
-		return 0
+// rankFrontier fixes the depth-0 frontier. pool holds the initial S_R in
+// ascending id order; each candidate gets its static rank — ascending
+// (degree, id) under VKC-DEG, ascending id otherwise — and the root is
+// returned in (key desc, rank asc) order, which is the ordering's
+// (key desc, degree asc, id asc) ranking. It also sizes every per-search
+// buffer once.
+func (s *searcher) rankFrontier(g graph.Topology, pool []candidate) []candidate {
+	f, p := len(pool), s.q.P
+	if s.ordering == OrderVKCDegree {
+		// rank holds the degree until the loop below assigns ranks.
+		for i := range pool {
+			pool[i].rank = int32(g.Degree(pool[i].v))
+		}
+		slices.SortFunc(pool, func(a, b candidate) int {
+			if a.rank != b.rank {
+				return int(a.rank - b.rank)
+			}
+			return int(a.v) - int(b.v)
+		})
 	}
-	return s.deg[v]
+	s.byRank = make([]graph.Vertex, f)
+	for i := range pool {
+		pool[i].rank = int32(i)
+		s.byRank[i] = pool[i].v
+	}
+	s.words = (f + 63) / 64
+	s.rowAt = make([]int32, f)
+	s.keyCount = make([]int, s.kq.Width()+1)
+
+	// One slab holds the root and a capacity-F child buffer per depth
+	// that builds children (the last level's children are complete
+	// groups and need no S_R); another holds the per-depth rank bitsets.
+	slab := make([]candidate, p*f)
+	root := countingSort(pool, slab[:0:f], s.keyCount)
+	s.scratch = pool[:0]
+	s.candBuf = make([][]candidate, p-1)
+	for d := range s.candBuf {
+		s.candBuf[d] = slab[(d+1)*f : (d+1)*f : (d+2)*f]
+	}
+	words := make([]uint64, p*s.words)
+	s.remBuf = make([][]uint64, p)
+	for d := range s.remBuf {
+		s.remBuf[d] = words[d*s.words : (d+1)*s.words]
+	}
+	for r := 0; r < f; r++ {
+		s.remBuf[0][r>>6] |= 1 << (r & 63)
+	}
+	return root
 }
 
 // explore expands one branch-and-bound node: si (the intermediate group
-// S_I) has `depth` members jointly covering `covered`, and cands is the
+// S_I) has `depth` members jointly covering `covered`, cands is the
 // remaining candidate set S_R, ranked and already k-line-compatible with
-// every member of S_I.
-func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
+// every member of S_I, and rem holds the ranks of cands as a bitset.
+func (s *searcher) explore(cands []candidate, rem []uint64, covered bitset.Set, depth int) {
 	s.stats.Nodes++
 	s.stats.DepthNodes[depth]++
 	if s.probe != nil {
@@ -344,7 +411,17 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 		return
 	}
 	childCover := s.coverBuf[depth+1]
+	// With one member still needed, each child is a complete group:
+	// only its coverage counts, so its S_R is neither filtered into a
+	// bitset nor ordered.
+	var childRem []uint64
+	if need > 1 {
+		childRem = s.remBuf[depth+1]
+	}
 	for i := 0; i+need <= len(cands); i++ {
+		v := cands[i]
+		// From here on rem holds exactly the ranks of cands[i+1:].
+		rem[v.rank>>6] &^= 1 << (v.rank & 63)
 		if depth == 0 && s.slice != nil {
 			if !s.slice.owns(i) {
 				continue
@@ -378,43 +455,31 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 				break
 			}
 		}
-		v := cands[i]
 		childCover.CopyFrom(covered)
 		childCover.UnionWith(s.kq.Mask(v.v))
 
-		// k-line filtering (Theorem 3): drop candidates within K of v.
-		// The wall-clock deadline and the context are re-checked here
-		// every few hundred oracle calls: with a slow oracle (bounded
-		// BFS on a large graph) a single node's filtering pass can
-		// dwarf the per-node budget check, and before this loop-level
-		// check a deep slow subtree could overrun MaxDuration (or
-		// outlive a cancelled request) arbitrarily.
-		child := s.candBuf[depth][:0]
-		for _, u := range cands[i+1:] {
-			s.stats.OracleCalls++
-			if s.checkAbort && s.stats.OracleCalls&deadlineOracleMask == 0 && s.aborted() {
-				s.budgetHit = true
-				s.probe.abort(s.abortCause(), depth)
-				s.candBuf[depth] = child
-				return
-			}
-			if s.oracle.Within(v.v, u.v, s.q.K) {
-				s.stats.Filtered++
-				s.stats.DepthFiltered[depth]++
-				continue
-			}
-			if s.ordering != OrderQKC {
-				u.key = int32(s.kq.VKCCount(u.v, childCover))
-			}
-			child = append(child, u)
+		// k-line filtering (Theorem 3): drop candidates within K of v,
+		// word-parallel against v's conflict row.
+		within, ok := s.conflicts(v.rank, rem, depth)
+		if !ok {
+			return
 		}
-		if s.ordering != OrderQKC {
-			s.sortCandidates(child)
+		filtered := 0
+		for w, r := range rem {
+			filtered += bits.OnesCount64(r & within[w])
+			if childRem != nil {
+				childRem[w] = r &^ within[w]
+			}
 		}
-		s.candBuf[depth] = child // keep any growth for reuse
+		s.stats.Filtered += int64(filtered)
+		s.stats.DepthFiltered[depth] += int64(filtered)
+		var child []candidate
+		if childRem != nil {
+			child = s.children(cands[i+1:], childRem, childCover, depth)
+		}
 
 		s.si = append(s.si, v.v)
-		s.explore(child, childCover, depth+1)
+		s.explore(child, childRem, childCover, depth+1)
 		s.si = s.si[:len(s.si)-1]
 		if s.budgetHit {
 			return
@@ -425,11 +490,136 @@ func (s *searcher) explore(cands []candidate, covered bitset.Set, depth int) {
 	}
 }
 
+// conflicts returns the within-K row of the member at rank r, complete
+// over rem. Each pair (r, u), u in rem, is resolved from r's memoised
+// row, from the symmetric bit of u's row, or by one oracle call that r's
+// row then remembers, so a search asks the oracle about each unordered
+// pair at most once while its rows fit under conflictRowBytes. The
+// wall-clock deadline and the context are re-checked every few hundred
+// oracle calls: with a slow oracle (bounded BFS on a large graph) one
+// row fill can dwarf the per-node budget check. ok is false when the
+// search aborted mid-fill.
+func (s *searcher) conflicts(r int32, rem []uint64, depth int) (within []uint64, ok bool) {
+	known, within := s.row(r)
+	n := s.words
+	vr := s.byRank[r]
+	rw, rbit := int(r>>6), uint64(1)<<(r&63)
+	for w, x := range rem {
+		ask := x &^ known[w]
+		if ask == 0 {
+			continue
+		}
+		var hits uint64
+		for rest := ask; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			u := w<<6 | b
+			if at := s.rowAt[u]; at != 0 {
+				if off := int(at-1) * 2 * n; s.rows[off+rw]&rbit != 0 {
+					if s.rows[off+n+rw]&rbit != 0 {
+						hits |= 1 << b
+					}
+					continue
+				}
+			}
+			s.stats.OracleCalls++
+			if s.checkAbort && s.stats.OracleCalls&deadlineOracleMask == 0 && s.aborted() {
+				s.budgetHit = true
+				s.probe.abort(s.abortCause(), depth)
+				return nil, false
+			}
+			if s.oracle.Within(vr, s.byRank[u], s.q.K) {
+				hits |= 1 << b
+			}
+		}
+		known[w] |= ask
+		within[w] |= hits
+	}
+	return within, true
+}
+
+// row returns rank r's conflict row as (known, within) rank bitsets. The
+// first call for r carves the row from the per-search slab, which grows
+// by doubling up to conflictRowBytes; past the cap r gets the cleared
+// spare row, whose answers are not kept.
+func (s *searcher) row(r int32) (known, within []uint64) {
+	n := s.words
+	if at := s.rowAt[r]; at != 0 {
+		off := int(at-1) * 2 * n
+		return s.rows[off : off+n], s.rows[off+n : off+2*n]
+	}
+	off := s.rowsUsed * 2 * n
+	end := off + 2*n
+	if end > len(s.rows) {
+		limit := min(conflictRowBytes/8/(2*n), len(s.rowAt)) * 2 * n
+		if end > limit {
+			if s.spare == nil {
+				s.spare = make([]uint64, 2*n)
+			} else {
+				clear(s.spare)
+			}
+			return s.spare[:n], s.spare[n:]
+		}
+		grown := make([]uint64, min(max(2*len(s.rows), 16*2*n), limit))
+		copy(grown, s.rows)
+		s.rows = grown
+	}
+	s.rowsUsed++
+	s.rowAt[r] = int32(s.rowsUsed)
+	return s.rows[off : off+n], s.rows[off+n : end]
+}
+
+// children builds depth's child S_R from its rank bitset set. Under
+// QKC it keeps the parent's order. Otherwise it collects the survivors
+// in ascending rank with their VKC keys w.r.t. covered and
+// counting-sorts them by key, giving (key desc, rank asc) — the
+// ordering's (key desc, degree asc, id asc) ranking without a
+// comparison sort.
+func (s *searcher) children(parent []candidate, set []uint64, covered bitset.Set, depth int) []candidate {
+	child := s.candBuf[depth][:0]
+	if s.ordering == OrderQKC {
+		for _, u := range parent {
+			if set[u.rank>>6]&(1<<(u.rank&63)) != 0 {
+				child = append(child, u)
+			}
+		}
+		return child
+	}
+	survivors := s.scratch[:0]
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			r := w<<6 | bits.TrailingZeros64(x)
+			v := s.byRank[r]
+			survivors = append(survivors, candidate{v: v, key: int32(s.kq.VKCCount(v, covered)), rank: int32(r)})
+		}
+	}
+	return countingSort(survivors, child, s.keyCount)
+}
+
+// countingSort writes src into dst by descending key, stably, so a src
+// in ascending rank comes out in (key desc, rank asc). Keys lie in
+// [0, len(count)); count is scratch. dst must not overlap src.
+func countingSort(src, dst []candidate, count []int) []candidate {
+	clear(count)
+	for _, c := range src {
+		count[c.key]++
+	}
+	pos := 0
+	for k := len(count) - 1; k >= 0; k-- {
+		pos, count[k] = pos+count[k], pos
+	}
+	dst = dst[:len(src)]
+	for _, c := range src {
+		dst[count[c.key]] = c
+		count[c.key]++
+	}
+	return dst
+}
+
 // offer submits the current S_I as a feasible group. Under a partial
 // search, accepted offers are also appended to the replay stream.
 func (s *searcher) offer(coverage int) {
-	members := append([]graph.Vertex(nil), s.si...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	members := slices.Clone(s.si)
+	slices.Sort(members)
 	if !s.heap.Offer(members, coverage) {
 		return
 	}
@@ -443,33 +633,5 @@ func (s *searcher) offer(coverage int) {
 			Seq:     s.rootSeq,
 		})
 		s.rootSeq++
-	}
-}
-
-// sortCandidates ranks S_R per the configured ordering. All orderings
-// sort by descending key; VKC-DEG breaks ties by ascending degree (fewer
-// social conflicts first); vertex id is the final tie-break so runs are
-// deterministic.
-func (s *searcher) sortCandidates(cands []candidate) {
-	switch s.ordering {
-	case OrderVKCDegree:
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.key != b.key {
-				return a.key > b.key
-			}
-			if a.deg != b.deg {
-				return a.deg < b.deg
-			}
-			return a.v < b.v
-		})
-	default:
-		sort.Slice(cands, func(i, j int) bool {
-			a, b := cands[i], cands[j]
-			if a.key != b.key {
-				return a.key > b.key
-			}
-			return a.v < b.v
-		})
 	}
 }

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ktg/internal/graph"
 	"ktg/internal/index"
@@ -66,15 +67,14 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 	for v := 0; v < n; v++ {
 		cands = append(cands, cand{graph.Vertex(v), kq.CoverageCount(graph.Vertex(v)), g.Degree(graph.Vertex(v))})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	slices.SortFunc(cands, func(a, b cand) int {
 		if a.cov != b.cov {
-			return a.cov > b.cov
+			return b.cov - a.cov
 		}
 		if a.deg != b.deg {
-			return a.deg < b.deg
+			return a.deg - b.deg
 		}
-		return a.v < b.v
+		return cmp.Compare(a.v, b.v)
 	})
 
 	var stats Stats
@@ -114,7 +114,7 @@ func TAGQ(g graph.Topology, attrs *keywords.Attributes, q Query, opts TAGQOption
 		if len(members) < q.P {
 			continue
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		slices.Sort(members)
 		groups = append(groups, Group{Members: members, Coverage: covered.Count()})
 		for _, m := range members {
 			used[m] = true

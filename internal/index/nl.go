@@ -3,7 +3,7 @@ package index
 import (
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -89,7 +89,7 @@ func BuildNL(g graph.Topology, opts NLOptions) (*NL, error) {
 	for v := 0; v < n; v++ {
 		levels := tr.Levels(g, graph.Vertex(v), h)
 		for d := range levels {
-			sortVertices(levels[d])
+			slices.Sort(levels[d])
 		}
 		nl.levels[v] = levels
 	}
@@ -140,7 +140,7 @@ func (nl *NL) Within(u, v graph.Vertex, k int) bool {
 		limit = nl.h
 	}
 	for d := 0; d < limit && d < len(lists); d++ {
-		if containsSorted(lists[d], v) {
+		if _, ok := slices.BinarySearch(lists[d], v); ok {
 			return true
 		}
 	}
@@ -223,13 +223,4 @@ func (nl *NL) Entries() int64 {
 		}
 	}
 	return total
-}
-
-func containsSorted(vs []graph.Vertex, v graph.Vertex) bool {
-	i := sort.Search(len(vs), func(i int) bool { return vs[i] >= v })
-	return i < len(vs) && vs[i] == v
-}
-
-func sortVertices(vs []graph.Vertex) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 }

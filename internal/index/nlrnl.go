@@ -2,6 +2,7 @@ package index
 
 import (
 	"log/slog"
+	"slices"
 	"time"
 
 	"ktg/internal/graph"
@@ -134,10 +135,10 @@ func (x *NLRNL) buildVertex(a graph.Vertex, tr *graph.Traverser, dist []int32) {
 		}
 	}
 	for _, l := range fwd {
-		sortVertices(l)
+		slices.Sort(l)
 	}
 	for _, l := range rev {
-		sortVertices(l)
+		slices.Sort(l)
 	}
 	x.fwd[a] = fwd
 	x.rev[a] = rev
@@ -169,7 +170,7 @@ func (x *NLRNL) Within(u, v graph.Vertex, k int) bool {
 		// membership decides the bound exactly.
 		fwd := x.fwd[a]
 		for d := 0; d < k && d < len(fwd); d++ {
-			if containsSorted(fwd[d], b) {
+			if _, ok := slices.BinarySearch(fwd[d], b); ok {
 				return true
 			}
 		}
@@ -186,7 +187,7 @@ func (x *NLRNL) Within(u, v graph.Vertex, k int) bool {
 		if c+1+j <= k {
 			continue
 		}
-		if containsSorted(rev[j], b) {
+		if _, ok := slices.BinarySearch(rev[j], b); ok {
 			return false
 		}
 	}
@@ -208,13 +209,13 @@ func (x *NLRNL) Distance(u, v graph.Vertex) int {
 		return -1
 	}
 	for d, l := range x.fwd[a] {
-		if containsSorted(l, b) {
+		if _, ok := slices.BinarySearch(l, b); ok {
 			return d + 1
 		}
 	}
 	c := int(x.c[a])
 	for j, l := range x.rev[a] {
-		if containsSorted(l, b) {
+		if _, ok := slices.BinarySearch(l, b); ok {
 			return c + 1 + j
 		}
 	}

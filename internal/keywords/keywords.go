@@ -10,7 +10,7 @@ package keywords
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ktg/internal/bitset"
 	"ktg/internal/graph"
@@ -95,7 +95,7 @@ func (a *Attributes) Assign(v graph.Vertex, names ...string) {
 // Duplicates are collapsed; the stored set is sorted.
 func (a *Attributes) AssignIDs(v graph.Vertex, ids ...ID) {
 	set := append([]ID(nil), ids...)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
+	slices.Sort(set)
 	uniq := set[:0]
 	for i, id := range set {
 		if i == 0 || id != set[i-1] {
@@ -121,9 +121,8 @@ func (a *Attributes) KeywordNames(v graph.Vertex) []string {
 
 // Has reports whether vertex v carries keyword id.
 func (a *Attributes) Has(v graph.Vertex, id ID) bool {
-	ks := a.of[v]
-	i := sort.Search(len(ks), func(i int) bool { return ks[i] >= id })
-	return i < len(ks) && ks[i] == id
+	_, ok := slices.BinarySearch(a.of[v], id)
+	return ok
 }
 
 // AverageKeywordsPerVertex returns the mean keyword-set size.
@@ -155,7 +154,7 @@ type Query struct {
 // query is rejected because QKC would divide by zero.
 func CompileQuery(a *Attributes, queryIDs []ID) (*Query, error) {
 	ids := append([]ID(nil), queryIDs...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	uniq := ids[:0]
 	for i, id := range ids {
 		if i == 0 || id != ids[i-1] {

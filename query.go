@@ -138,7 +138,10 @@ type SearchStats struct {
 	Pruned int64 `json:"pruned"`
 	// Filtered counts candidates removed by k-line filtering.
 	Filtered int64 `json:"filtered"`
-	// DistanceChecks counts social-distance queries.
+	// DistanceChecks counts the distance-index queries the search
+	// actually made. The exact search remembers each answer, so it asks
+	// about a pair of candidates at most once; Filtered, not this, counts
+	// the k-line removals.
 	DistanceChecks int64 `json:"distance_checks"`
 	// Feasible counts complete size-p groups evaluated.
 	Feasible int64 `json:"feasible"`

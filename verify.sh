@@ -31,6 +31,12 @@ go test -race ./...
 # >2x regressions against BENCH_small.json (see scripts/check_bench.sh).
 ./scripts/check_bench.sh
 
+# Answer-verified core smoke: the benchmark's paper-uncapped workload
+# checks every answer of the uncapped search against the capped search
+# and a BFS tenuity audit, and reports "correct":true only if all hold.
+bash perfbench/run.sh --workload paper-uncapped --seed 1 --seconds 2 --trace 0 \
+    | grep -q '"correct":true'
+
 # --- query-server end-to-end smoke -----------------------------------
 # Boot ktgserver on a random port, answer one KTG and one DKTG query
 # (200 + valid JSON, second identical query must be a cache hit), then
