@@ -58,7 +58,7 @@ func main() {
 		greedy    = flag.Bool("greedy", false, "run the approximate greedy search instead of an exact algorithm")
 		gamma     = flag.Float64("gamma", 0.5, "DKTG coverage/diversity weight")
 		maxNodes  = flag.Int64("maxnodes", 50_000_000, "search node budget (0 = unlimited)")
-		verbose   = flag.Bool("v", false, "debug-level structured logging (per-phase spans, index builds)")
+		verbose   = flag.Bool("v", false, "debug-level structured logging (per-search start/done records, index builds)")
 		statsJSON = flag.Bool("stats-json", false, "dump the full SearchStats as one JSON object on stdout")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address and stay up after answering")
 		trace     = flag.Bool("trace", false, "print the run's trace as an ASCII waterfall on stderr after answering")
@@ -139,9 +139,6 @@ func main() {
 		fatal(logger, err)
 	}
 	net.SetLogger(logger)
-	if *verbose {
-		net.SetTracer(obs.SlogTracer{L: logger})
-	}
 	logger.Info("network loaded", "name", net.Name(),
 		"vertices", net.NumVertices(), "edges", net.NumEdges(), "keywords", net.VocabularySize())
 

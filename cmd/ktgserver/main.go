@@ -258,7 +258,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		DegradeQueueWait: *degradeWait,
 		Logger:           logger,
-		Tracer:           obs.MetricsTracer{Reg: obs.Default()},
 		Recorder:         recorder,
 		TraceStore:       traces,
 	}, datasets...)

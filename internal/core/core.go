@@ -15,7 +15,6 @@ import (
 	"ktg/internal/graph"
 	"ktg/internal/index"
 	"ktg/internal/keywords"
-	"ktg/internal/obs"
 )
 
 // Query carries the KTG query parameters ⟨W_Q, p, k, N⟩ of Definition 7.
@@ -119,10 +118,6 @@ type Options struct {
 	// review. Any candidate within distance K of a query vertex is
 	// removed before the search starts.
 	QueryVertices []graph.Vertex
-	// Tracer receives phase spans and sampled explore events. nil (the
-	// default) disables tracing entirely; the hot path then pays one
-	// branch per node. Wrap with obs.Sampled to thin per-node events.
-	Tracer obs.Tracer
 	// Probe collects a per-query explain plan and publishes live
 	// progress snapshots while the search runs. nil (the default)
 	// disables collection; the hot path then pays one branch per node.

@@ -28,9 +28,6 @@ type GreedyOptions struct {
 	// groups completed so far are returned together with an error
 	// wrapping ctx.Err(). nil disables the checks.
 	Context context.Context
-	// Tracer receives compile/explore spans and per-seed events
-	// (nil = off).
-	Tracer obs.Tracer
 	// Probe collects a per-query explain plan and live progress
 	// (nil = off). Greedy has no branch-and-bound tree, so the plan
 	// carries seed-level progress and the bound trajectory only; the
@@ -64,9 +61,6 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 		return nil, err
 	}
 	compileTime := time.Since(compileStart)
-	if opts.Tracer != nil {
-		opts.Tracer.Span(obs.PhaseCompile, compileTime)
-	}
 	// Nil outside a traced request; every call below is then a no-op.
 	span := obs.SpanFromContext(opts.Context)
 	span.AddCompletedChild(obs.PhaseCompile, compileStart, compileTime)
@@ -186,10 +180,6 @@ func Greedy(g graph.Topology, attrs *keywords.Attributes, q Query, opts GreedyOp
 		}
 	}
 	stats.ExploreTime = time.Since(exploreStart)
-	if opts.Tracer != nil {
-		opts.Tracer.Span(obs.PhaseExplore, stats.ExploreTime)
-		opts.Tracer.Event(obs.PhaseExplore, "seeds", stats.Nodes)
-	}
 	span.AddCompletedChild(obs.PhaseExplore, exploreStart, stats.ExploreTime,
 		obs.Attr{Key: "seeds", Value: strconv.FormatInt(stats.Nodes, 10)})
 	obs.OrCtx(opts.Context, opts.Logger).Debug("ktg: greedy search done",

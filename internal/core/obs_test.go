@@ -8,7 +8,6 @@ import (
 	"ktg/internal/graph"
 	"ktg/internal/index"
 	"ktg/internal/keywords"
-	"ktg/internal/obs"
 )
 
 // slowOracle delays every distance check, simulating the bounded-BFS
@@ -127,76 +126,16 @@ func TestSearchTimingAndDepthStats(t *testing.T) {
 	}
 }
 
-func TestSearchTracerCapturesPhases(t *testing.T) {
+func TestGreedyTiming(t *testing.T) {
 	g := fixtureGraph()
 	attrs := fixtureAttrs()
 	q := Query{Keywords: fixtureQuery(t, attrs), P: 3, K: 1, N: 2}
-
-	// Nil tracer: the search must run exactly as before.
-	base, err := Search(g, attrs, q, Options{Ordering: OrderVKCDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tr := &obs.CollectTracer{}
-	traced, err := Search(g, attrs, q, Options{Ordering: OrderVKCDegree, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameCoverages(t, base, traced)
-	if traced.Stats.Nodes != base.Stats.Nodes {
-		t.Errorf("tracing changed the search: %d vs %d nodes", traced.Stats.Nodes, base.Stats.Nodes)
-	}
-
-	phases := map[string]bool{}
-	for _, s := range tr.Spans() {
-		phases[s.Phase] = true
-	}
-	for _, want := range []string{obs.PhaseCompile, obs.PhaseCandidates, obs.PhaseExplore} {
-		if !phases[want] {
-			t.Errorf("no span for phase %q", want)
-		}
-	}
-	var nodeEvents, sizeEvents int64
-	for _, e := range tr.Events() {
-		switch {
-		case e.Phase == obs.PhaseExplore && e.Name == "node":
-			nodeEvents++
-		case e.Phase == obs.PhaseCandidates && e.Name == "size":
-			sizeEvents++
-		}
-	}
-	if nodeEvents != traced.Stats.Nodes {
-		t.Errorf("%d node events, want %d (one per explored node)", nodeEvents, traced.Stats.Nodes)
-	}
-	if sizeEvents != 1 {
-		t.Errorf("%d candidate-size events, want 1", sizeEvents)
-	}
-}
-
-func TestGreedyTracerAndTiming(t *testing.T) {
-	g := fixtureGraph()
-	attrs := fixtureAttrs()
-	q := Query{Keywords: fixtureQuery(t, attrs), P: 3, K: 1, N: 2}
-	tr := &obs.CollectTracer{}
-	r, err := Greedy(g, attrs, q, GreedyOptions{Tracer: tr})
+	r, err := Greedy(g, attrs, q, GreedyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Stats.ExploreTime <= 0 {
 		t.Errorf("greedy ExploreTime = %v, want > 0", r.Stats.ExploreTime)
-	}
-	if tr.SpanTotal(obs.PhaseExplore) <= 0 {
-		t.Error("greedy emitted no explore span")
-	}
-	var seeds bool
-	for _, e := range tr.Events() {
-		if e.Name == "seeds" {
-			seeds = true
-		}
-	}
-	if !seeds {
-		t.Error("greedy emitted no seeds event")
 	}
 }
 

@@ -80,11 +80,8 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		return nil, err
 	}
 	compileTime := time.Since(compileStart)
-	if opts.Tracer != nil {
-		opts.Tracer.Span(obs.PhaseCompile, compileTime)
-	}
 	// When the caller's context carries a trace span (the server's
-	// search span), the phases also land there as child spans; span is
+	// search span), the phases land there as child spans; span is
 	// nil — and every call below a no-op — outside a traced request.
 	span := obs.SpanFromContext(opts.Context)
 	span.AddCompletedChild(obs.PhaseCompile, compileStart, compileTime)
@@ -100,7 +97,6 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		pruning:  !opts.DisableKeywordPruning,
 		uncapped: opts.UncappedPruneBound,
 		maxNodes: opts.MaxNodes,
-		tracer:   opts.Tracer,
 		probe:    opts.Probe,
 		slice:    slice,
 		heap:     newTopN(q.N),
@@ -176,10 +172,6 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		s.probe.begin()
 		s.probe.setFrontier(owned, len(root))
 	}
-	if s.tracer != nil {
-		s.tracer.Span(obs.PhaseCandidates, s.stats.CandidateTime)
-		s.tracer.Event(obs.PhaseCandidates, "size", int64(len(root)))
-	}
 	span.AddCompletedChild(obs.PhaseCandidates, candStart, s.stats.CandidateTime,
 		obs.Attr{Key: "size", Value: strconv.Itoa(len(root))})
 
@@ -195,15 +187,6 @@ func run(g graph.Topology, attrs *keywords.Attributes, q Query, opts Options, sl
 		s.explore(root, s.remBuf[0], s.coverBuf[0], 0)
 	}
 	s.stats.ExploreTime = time.Since(exploreStart)
-	if s.tracer != nil {
-		s.tracer.Span(obs.PhaseExplore, s.stats.ExploreTime)
-		for d := 0; d <= q.P; d++ {
-			prefix := "depth" + strconv.Itoa(d) + "."
-			s.tracer.Event(obs.PhaseExplore, prefix+"nodes", s.stats.DepthNodes[d])
-			s.tracer.Event(obs.PhaseExplore, prefix+"pruned", s.stats.DepthPruned[d])
-			s.tracer.Event(obs.PhaseExplore, prefix+"filtered", s.stats.DepthFiltered[d])
-		}
-	}
 	// nodes/pruned include branch-and-bound effort; filtered counts the
 	// k-line filter's removals (Theorem 3).
 	span.AddCompletedChild(obs.PhaseExplore, exploreStart, s.stats.ExploreTime,
@@ -265,7 +248,6 @@ type searcher struct {
 	ctx         context.Context
 	checkAbort  bool // hasDeadline || ctx != nil
 	ctxErr      error
-	tracer      obs.Tracer
 	probe       *Probe
 
 	heap     *topN
@@ -387,9 +369,6 @@ func (s *searcher) explore(cands []candidate, rem []uint64, covered bitset.Set, 
 	s.stats.DepthNodes[depth]++
 	if s.probe != nil {
 		s.probe.tick()
-	}
-	if s.tracer != nil {
-		s.tracer.Event(obs.PhaseExplore, "node", int64(depth))
 	}
 	if s.maxNodes > 0 && s.stats.Nodes > s.maxNodes {
 		s.budgetHit = true

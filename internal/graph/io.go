@@ -72,7 +72,10 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-const binaryMagic = "KTGG\x01" // legacy v1
+// legacyMagic opens the headerless v1 snapshot format that predates the
+// persist container. ReadBinary recognises it only to report version
+// skew; v1 files are no longer read or written.
+const legacyMagic = "KTGG\x01"
 
 const kindGraph = "graph"
 
@@ -97,8 +100,8 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// writeCSR emits the payload shared by both formats: n, len(adj), the
-// offset array, the adjacency array.
+// writeCSR emits the CSR payload: n, len(adj), the offset array, the
+// adjacency array.
 func (g *Graph) writeCSR(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if err := binary.Write(bw, binary.LittleEndian, uint64(g.NumVertices())); err != nil {
@@ -116,51 +119,17 @@ func (g *Graph) writeCSR(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeBinaryV1 writes the legacy headerless format. Kept for tests and
-// fixtures in the on-disk format old deployments still hold; new
-// snapshots always go through WriteBinary.
-func writeBinaryV1(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := g.writeCSR(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a snapshot written by WriteBinary (v2 container) or
-// the legacy v1 writer and validates its structural invariants. The v2
-// path additionally verifies every section checksum and cross-checks
-// the reconstructed graph against the header fingerprint, so a flipped
-// byte anywhere in the file is surfaced as an error rather than a
-// silently different graph; both paths reject trailing bytes.
+// ReadBinary reads a snapshot written by WriteBinary, verifying every
+// section checksum and the CSR's structural invariants, and
+// cross-checks the reconstructed graph against the header fingerprint,
+// so a flipped byte anywhere in the file is surfaced as an error rather
+// than a silently different graph. A legacy v1 file yields an error
+// wrapping persist.ErrVersionSkew.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
-	if persist.SniffContainer(br) {
-		return readBinaryV2(br)
+	if err := persist.RejectLegacy(br, legacyMagic); err != nil {
+		return nil, fmt.Errorf("graph: reading snapshot: %w", err)
 	}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	g, err := readCSR(br)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := br.ReadByte(); err == nil {
-		return nil, fmt.Errorf("graph: trailing bytes after snapshot payload: %w", persist.ErrCorrupt)
-	} else if err != io.EOF {
-		return nil, err
-	}
-	return g, nil
-}
-
-func readBinaryV2(br *bufio.Reader) (*Graph, error) {
 	pr, err := persist.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot: %w", err)
@@ -189,7 +158,7 @@ func readBinaryV2(br *bufio.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// readCSR parses the shared CSR payload and validates its structural
+// readCSR parses the CSR payload and validates its structural
 // invariants.
 func readCSR(r io.Reader) (*Graph, error) {
 	var n, m uint64

@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ktg/internal/persist"
 )
 
 func TestReadEdgeList(t *testing.T) {
@@ -100,10 +103,24 @@ func TestReadBinaryRejectsCorruptOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	// Flip a byte inside the offsets region (after magic + two uint64s).
-	raw[len(binaryMagic)+16+3] ^= 0xFF
-	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
-		t.Fatal("ReadBinary accepted corrupt offsets")
+	// Flip a byte inside the offsets array: past the container's "csr"
+	// section name, the first chunk's u32 length, and the CSR's vertex
+	// count and adjacency length (two u64s).
+	off := bytes.Index(raw, []byte("csr")) + len("csr") + 4 + 16 + 3
+	raw[off] ^= 0xFF
+	if _, err := ReadBinary(bytes.NewReader(raw)); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("ReadBinary on corrupt offsets: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestReadBinaryLegacyIsVersionSkew pins how a headerless v1 snapshot
+// is classified now that it is no longer read: version skew, not
+// corruption, so a loader rebuilds it for the right reason.
+func TestReadBinaryLegacyIsVersionSkew(t *testing.T) {
+	v1 := []byte("KTGG\x01\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")
+	_, err := ReadBinary(bytes.NewReader(v1))
+	if !errors.Is(err, persist.ErrVersionSkew) || errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("ReadBinary on a v1 file: err = %v, want ErrVersionSkew", err)
 	}
 }
 

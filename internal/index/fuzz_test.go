@@ -2,54 +2,40 @@ package index
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
-	"ktg/internal/graph"
 	"ktg/internal/persist"
 )
 
-// FuzzReadNLRNL hardens the index loader: corrupted snapshots must be
-// rejected or at least never panic and never violate memory safety on
-// subsequent queries. For the checksummed v2 container the guarantee is
-// stronger: any accepted input must decode to exactly the index that
-// was saved (the checksums make accept-but-different a CRC collision).
+// FuzzReadNLRNL hardens the index loader: any accepted input must
+// decode to exactly the index that was saved (the container's checksums
+// make accept-but-different a CRC collision), and everything else must
+// be rejected without panicking. The bare legacy and container magics
+// must be rejected.
 func FuzzReadNLRNL(f *testing.F) {
 	g := fixture()
 	x, err := BuildNLRNL(g)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2, v1 bytes.Buffer
-	if err := x.Save(&v2); err != nil {
+	var snap bytes.Buffer
+	if err := x.Save(&snap); err != nil {
 		f.Fatal(err)
 	}
-	if err := x.saveV1(&v1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()/2])
 	f.Add([]byte{})
-	f.Add([]byte("KTGRN\x01"))
+	f.Add([]byte(nlrnlLegacyMagic))
 	f.Add([]byte(persist.Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := ReadNLRNL(bytes.NewReader(data), g)
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte(persist.Magic)) {
-			// Container accepted ⇒ checksums verified ⇒ it must be the
-			// saved index, bit for bit.
-			if !sameLists(loaded.fwd, x.fwd) || !sameLists(loaded.rev, x.rev) {
-				t.Fatal("accepted v2 container decodes to a different index")
-			}
-		}
-		// Accepted legacy inputs may legitimately differ (v1 has only
-		// plausibility checks, no checksums) but must answer queries
-		// without panicking.
-		for u := 0; u < g.NumVertices(); u++ {
-			for v := 0; v < g.NumVertices(); v++ {
-				loaded.Within(graph.Vertex(u), graph.Vertex(v), 2)
-			}
+		if !reflect.DeepEqual(loaded.comp, x.comp) || !reflect.DeepEqual(loaded.c, x.c) ||
+			!sameLists(loaded.fwd, x.fwd) || !sameLists(loaded.rev, x.rev) {
+			t.Fatal("accepted input decodes to a different index")
 		}
 	})
 }
@@ -61,29 +47,21 @@ func FuzzReadNL(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var v2, v1 bytes.Buffer
-	if err := nl.Save(&v2); err != nil {
+	var snap bytes.Buffer
+	if err := nl.Save(&snap); err != nil {
 		f.Fatal(err)
 	}
-	if err := nl.saveV1(&v1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
-	f.Add([]byte("KTGNL\x01junk"))
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()/2])
+	f.Add([]byte(nlLegacyMagic + "junk"))
 	f.Add([]byte(persist.Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := ReadNL(bytes.NewReader(data), g)
 		if err != nil {
 			return
 		}
-		if bytes.HasPrefix(data, []byte(persist.Magic)) {
-			if loaded.H() != nl.H() || !sameLists(loaded.levels, nl.levels) {
-				t.Fatal("accepted v2 container decodes to a different index")
-			}
-		}
-		for u := 0; u < g.NumVertices(); u++ {
-			loaded.Within(graph.Vertex(u), graph.Vertex((u+3)%12), 3)
+		if loaded.H() != nl.H() || !sameLists(loaded.levels, nl.levels) {
+			t.Fatal("accepted input decodes to a different index")
 		}
 	})
 }

@@ -121,7 +121,6 @@ func LoadOrBuildNL(path string, g graph.Topology, opts NLOptions) (*NL, LoadOutc
 	if reason == ReasonLoaded {
 		mSnapLoads.Inc()
 		log.Info("ktg: NL snapshot loaded", "path", path, "h", nl.H())
-		nl.tracer = opts.Tracer
 		return nl, LoadOutcome{Loaded: true, Reason: ReasonLoaded}, nil
 	}
 
@@ -155,7 +154,6 @@ func LoadOrBuildNLRNL(path string, g graph.Topology, opts NLRNLOptions) (*NLRNL,
 	if reason == ReasonLoaded {
 		mSnapLoads.Inc()
 		log.Info("ktg: NLRNL snapshot loaded", "path", path)
-		x.tracer = opts.Tracer
 		return x, LoadOutcome{Loaded: true, Reason: ReasonLoaded}, nil
 	}
 

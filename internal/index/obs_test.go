@@ -1,51 +1,6 @@
 package index
 
-import (
-	"bytes"
-	"testing"
-
-	"ktg/internal/obs"
-)
-
-func TestBuildTracersEmitSpans(t *testing.T) {
-	g := fixture()
-
-	tr := &obs.CollectTracer{}
-	nl, err := BuildNL(g, NLOptions{H: 2, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.SpanTotal(obs.PhaseIndexBuild) <= 0 {
-		t.Error("BuildNL emitted no index-build span")
-	}
-	var entries bool
-	for _, e := range tr.Events() {
-		if e.Name == "nl.entries" && e.Value == int64(nl.Entries()) {
-			entries = true
-		}
-	}
-	if !entries {
-		t.Error("BuildNL emitted no nl.entries event matching Entries()")
-	}
-
-	tr2 := &obs.CollectTracer{}
-	x, err := BuildNLRNLWith(g, NLRNLOptions{Tracer: tr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.SpanTotal(obs.PhaseIndexBuild) <= 0 {
-		t.Error("BuildNLRNLWith emitted no index-build span")
-	}
-
-	// Save routes through the serialize phase on the build tracer.
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if tr2.SpanTotal(obs.PhaseSerialize) <= 0 {
-		t.Error("Save emitted no serialize span")
-	}
-}
+import "testing"
 
 func TestBuildNLRNLWithoutOptionsStillWorks(t *testing.T) {
 	g := fixture()

@@ -62,47 +62,87 @@ func flipEveryByte(t *testing.T, golden []byte, load func([]byte) error) {
 	}
 }
 
-// TestLegacyV1Formats proves the sniffing reader still accepts the
-// headerless v1 layout old deployments hold on disk — but rejects
-// trailing bytes on that path too.
-func TestLegacyV1Formats(t *testing.T) {
+// TestLegacyV1SnapshotsRebuildAsVersionSkew pins how the headerless v1
+// layout that predates the container is handled now that it is no
+// longer read: a file opening with the v1 magic is rebuilt as version
+// skew (never counted as corruption), the rebuilt index equals a fresh
+// build, and the re-save leaves a v2 container that loads next time.
+func TestLegacyV1SnapshotsRebuildAsVersionSkew(t *testing.T) {
 	g := fixture()
-	nl, err := BuildNL(g, NLOptions{H: 2})
+	// legacyFile writes magic followed by the payload the v1 writer
+	// emitted after it.
+	legacyFile := func(magic string, body func(io.Writer) error) string {
+		t.Helper()
+		var buf bytes.Buffer
+		buf.WriteString(magic)
+		if err := body(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := snapPath(t)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	checkRebuilt := func(what, path string, out LoadOutcome) {
+		t.Helper()
+		if out.Loaded || out.Reason != ReasonVersion || !out.Saved {
+			t.Fatalf("%s outcome = %+v, want rebuild(version) + saved", what, out)
+		}
+		if !errors.Is(out.LoadErr, persist.ErrVersionSkew) || errors.Is(out.LoadErr, persist.ErrCorrupt) {
+			t.Fatalf("%s LoadErr = %v, want ErrVersionSkew", what, out.LoadErr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte(persist.Magic)) {
+			t.Fatalf("%s re-save is not a v2 container: %q", what, data[:8])
+		}
+	}
+	corruptBefore := mSnapRebuildCorrupt.Value()
+	versionBefore := mSnapRebuildVersion.Value()
+
+	fresh, err := BuildNL(g, NLOptions{H: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := nl.saveV1(&buf); err != nil {
+	path := legacyFile(nlLegacyMagic, fresh.writeBody)
+	nl, out, err := LoadOrBuildNL(path, g, NLOptions{H: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadNL(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatalf("v1 NL snapshot rejected: %v", err)
+	checkRebuilt("NL", path, out)
+	if nl.H() != fresh.H() || !sameLists(nl.levels, fresh.levels) {
+		t.Fatal("NL rebuilt from a v1 file differs from a fresh build")
 	}
-	if loaded.H() != nl.H() || !sameLists(loaded.levels, nl.levels) {
-		t.Fatal("v1 NL snapshot loaded differently")
-	}
-	if _, err := ReadNL(bytes.NewReader(append(buf.Bytes(), 0)), g); !errors.Is(err, persist.ErrCorrupt) {
-		t.Fatalf("v1 NL trailing byte: err = %v, want ErrCorrupt", err)
+	if _, out, err := LoadOrBuildNL(path, g, NLOptions{H: 2}); err != nil || !out.Loaded {
+		t.Fatalf("NL after re-save: out=%+v err=%v", out, err)
 	}
 
-	x, err := BuildNLRNL(g)
+	freshX, err := BuildNLRNL(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := x.saveV1(&buf); err != nil {
+	path = legacyFile(nlrnlLegacyMagic, freshX.writeBody)
+	x, out, err := LoadOrBuildNLRNL(path, g, NLRNLOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	lx, err := ReadNLRNL(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatalf("v1 NLRNL snapshot rejected: %v", err)
+	checkRebuilt("NLRNL", path, out)
+	if !reflect.DeepEqual(x.comp, freshX.comp) || !reflect.DeepEqual(x.c, freshX.c) ||
+		!sameLists(x.fwd, freshX.fwd) || !sameLists(x.rev, freshX.rev) {
+		t.Fatal("NLRNL rebuilt from a v1 file differs from a fresh build")
 	}
-	if !sameLists(lx.fwd, x.fwd) || !sameLists(lx.rev, x.rev) {
-		t.Fatal("v1 NLRNL snapshot loaded differently")
+	if _, out, err := LoadOrBuildNLRNL(path, g, NLRNLOptions{}); err != nil || !out.Loaded {
+		t.Fatalf("NLRNL after re-save: out=%+v err=%v", out, err)
 	}
-	if _, err := ReadNLRNL(bytes.NewReader(append(buf.Bytes(), 0)), g); !errors.Is(err, persist.ErrCorrupt) {
-		t.Fatalf("v1 NLRNL trailing byte: err = %v, want ErrCorrupt", err)
+
+	if got := mSnapRebuildCorrupt.Value() - corruptBefore; got != 0 {
+		t.Errorf("v1 files bumped the corrupt-rebuild counter by %d", got)
+	}
+	if got := mSnapRebuildVersion.Value() - versionBefore; got != 2 {
+		t.Errorf("version-rebuild counter rose by %d, want 2", got)
 	}
 }
 

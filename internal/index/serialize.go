@@ -8,20 +8,18 @@ import (
 	"time"
 
 	"ktg/internal/graph"
-	"ktg/internal/obs"
 	"ktg/internal/persist"
 )
 
-// Snapshot formats. Save writes the checksummed persist container
+// Snapshot format. Save writes the checksummed persist container
 // (format v2): a versioned header carrying the build parameters and a
 // fingerprint of the source graph, followed by one CRC32C-protected
-// payload section holding the same little-endian body the legacy format
-// used. ReadNL/ReadNLRNL sniff the magic and accept both the container
-// and the legacy headerless v1 layout (magic + body, no checksums);
-// both paths reject trailing bytes after a well-formed payload.
+// little-endian payload section. ReadNL/ReadNLRNL read only that
+// container; a file in the headerless v1 layout that predates it is
+// recognised by its magic and reported as persist.ErrVersionSkew.
 const (
-	nlMagic    = "KTGNL\x01" // legacy v1
-	nlrnlMagic = "KTGRN\x01" // legacy v1
+	nlLegacyMagic    = "KTGNL\x01"
+	nlrnlLegacyMagic = "KTGRN\x01"
 
 	kindNL    = "nl"
 	kindNLRNL = "nlrnl"
@@ -33,8 +31,8 @@ const (
 // maxLevelCount is the plausibility ceiling on any per-vertex level
 // count (NL hop levels, NLRNL forward/reverse lists). It bounds the
 // pre-allocation a length field can trigger, so a hostile snapshot
-// cannot force a huge make; the v2 path additionally cross-checks NL
-// level counts against the h recorded in the container header.
+// cannot force a huge make; NL level counts are additionally
+// cross-checked against the h recorded in the container header.
 const maxLevelCount = 1024
 
 type countingWriter struct {
@@ -102,31 +100,16 @@ func (rd *reader) list(maxVertex uint32) []graph.Vertex {
 	return l
 }
 
-// traceSerialize records one save/load on the serialize metrics and, if
-// a tracer is attached, emits a serialize-phase span. Used via defer.
-func traceSerialize(tr obs.Tracer, start time.Time, load bool) {
+// traceSerialize records one save/load on the serialize metrics. Used
+// via defer.
+func traceSerialize(start time.Time, load bool) {
 	d := time.Since(start)
-	if tr != nil {
-		tr.Span(obs.PhaseSerialize, d)
-	}
 	if load {
 		mIndexLoads.Inc()
 	} else {
 		mIndexSaves.Inc()
 	}
 	mIndexSerializeNanos.Observe(d.Nanoseconds())
-}
-
-// requireStrictEOF rejects trailing bytes after a well-formed legacy
-// payload: a concatenated or padded file is treated as corrupt rather
-// than silently half-read.
-func requireStrictEOF(br *bufio.Reader, what string) error {
-	if _, err := br.ReadByte(); err == nil {
-		return fmt.Errorf("index: trailing bytes after %s payload: %w", what, persist.ErrCorrupt)
-	} else if err != io.EOF {
-		return err
-	}
-	return nil
 }
 
 // checkFingerprint compares the container header against the live graph
@@ -145,7 +128,7 @@ func checkFingerprint(hdr persist.Header, g graph.Topology, what string) error {
 // container. Pair it with persist.WriteFileAtomic (or NL SaveFile via
 // the public API) for crash-safe on-disk snapshots.
 func (nl *NL) Save(w io.Writer) error {
-	defer traceSerialize(nl.tracer, time.Now(), false)
+	defer traceSerialize(time.Now(), false)
 	pw, err := persist.NewWriter(w, persist.Header{
 		Kind:  kindNL,
 		Param: uint32(nl.h),
@@ -163,8 +146,8 @@ func (nl *NL) Save(w io.Writer) error {
 	return nil
 }
 
-// writeBody emits the NL payload shared by both formats: n, h, then per
-// vertex the level count and each level's list.
+// writeBody emits the NL payload: n, h, then per vertex the level count
+// and each level's list.
 func (nl *NL) writeBody(w io.Writer) error {
 	cw := &countingWriter{w: w}
 	cw.u32(uint32(len(nl.levels)))
@@ -178,45 +161,17 @@ func (nl *NL) writeBody(w io.Writer) error {
 	return cw.err
 }
 
-// saveV1 writes the legacy headerless format. Kept for tests and for
-// generating fixtures in the format old deployments still hold on disk;
-// new snapshots always go through Save.
-func (nl *NL) saveV1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(nlMagic); err != nil {
-		return err
-	}
-	if err := nl.writeBody(bw); err != nil {
-		return fmt.Errorf("index: writing NL: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadNL loads an NL index written by Save (v2 container) or by the
-// legacy v1 writer. g must be the topology the index was built from (it
-// is consulted for expansions beyond h); a v2 snapshot of a different
-// graph is rejected with persist.ErrFingerprintMismatch before any
-// payload is parsed.
+// ReadNL loads an NL index written by Save. g must be the topology the
+// index was built from (it is consulted for expansions beyond h); a
+// snapshot of a different graph is rejected with
+// persist.ErrFingerprintMismatch before any payload is parsed, and a
+// legacy v1 file with persist.ErrVersionSkew.
 func ReadNL(r io.Reader, g graph.Topology) (*NL, error) {
-	defer traceSerialize(nil, time.Now(), true)
+	defer traceSerialize(time.Now(), true)
 	br := bufio.NewReader(r)
-	if persist.SniffContainer(br) {
-		return readNLV2(br, g)
+	if err := persist.RejectLegacy(br, nlLegacyMagic); err != nil {
+		return nil, fmt.Errorf("index: reading NL: %w", err)
 	}
-	if err := expectMagic(br, nlMagic); err != nil {
-		return nil, err
-	}
-	nl, err := readNLBody(br, g, -1)
-	if err != nil {
-		return nil, err
-	}
-	if err := requireStrictEOF(br, "NL"); err != nil {
-		return nil, err
-	}
-	return nl, nil
-}
-
-func readNLV2(br *bufio.Reader, g graph.Topology) (*NL, error) {
 	pr, err := persist.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading NL: %w", err)
@@ -247,9 +202,8 @@ func readNLV2(br *bufio.Reader, g graph.Topology) (*NL, error) {
 	return nl, nil
 }
 
-// readNLBody parses the shared NL payload. wantH is the h recorded in
-// the v2 header (cross-checked against the body), or -1 for the legacy
-// format, where only the plausibility ceiling applies.
+// readNLBody parses the NL payload. wantH is the h recorded in the
+// container header and must match the body's.
 func readNLBody(r io.Reader, g graph.Topology, wantH int) (*NL, error) {
 	rd := &reader{r: r}
 	n := rd.u32()
@@ -263,7 +217,7 @@ func readNLBody(r io.Reader, g graph.Topology, wantH int) (*NL, error) {
 	if h == 0 || h > maxLevelCount {
 		return nil, fmt.Errorf("index: implausible NL h %d", h)
 	}
-	if wantH >= 0 && int(h) != wantH {
+	if int(h) != wantH {
 		return nil, fmt.Errorf("index: NL body h %d disagrees with header h %d: %w", h, wantH, persist.ErrCorrupt)
 	}
 	nl := &NL{
@@ -301,7 +255,7 @@ func readNLBody(r io.Reader, g graph.Topology, wantH int) (*NL, error) {
 // copy of the graph, so a snapshot taken after InsertEdge/RemoveEdge
 // will (correctly) refuse to attach to the original topology.
 func (x *NLRNL) Save(w io.Writer) error {
-	defer traceSerialize(x.tracer, time.Now(), false)
+	defer traceSerialize(time.Now(), false)
 	pw, err := persist.NewWriter(w, persist.Header{
 		Kind:  kindNLRNL,
 		Graph: persist.FingerprintOf(x.g),
@@ -318,7 +272,7 @@ func (x *NLRNL) Save(w io.Writer) error {
 	return nil
 }
 
-// writeBody emits the NLRNL payload shared by both formats.
+// writeBody emits the NLRNL payload.
 func (x *NLRNL) writeBody(w io.Writer) error {
 	cw := &countingWriter{w: w}
 	n := len(x.c)
@@ -338,42 +292,16 @@ func (x *NLRNL) writeBody(w io.Writer) error {
 	return cw.err
 }
 
-// saveV1 writes the legacy headerless NLRNL format (see NL.saveV1).
-func (x *NLRNL) saveV1(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(nlrnlMagic); err != nil {
-		return err
-	}
-	if err := x.writeBody(bw); err != nil {
-		return fmt.Errorf("index: writing NLRNL: %w", err)
-	}
-	return bw.Flush()
-}
-
-// ReadNLRNL loads an NLRNL index written by Save (v2 container) or by
-// the legacy v1 writer. g must be the topology the index was built
-// from; the loaded index copies it so that dynamic updates remain
-// available.
+// ReadNLRNL loads an NLRNL index written by Save. g must be the
+// topology the index was built from; the loaded index copies it so that
+// dynamic updates remain available. A legacy v1 file is rejected with
+// persist.ErrVersionSkew.
 func ReadNLRNL(r io.Reader, g graph.Topology) (*NLRNL, error) {
-	defer traceSerialize(nil, time.Now(), true)
+	defer traceSerialize(time.Now(), true)
 	br := bufio.NewReader(r)
-	if persist.SniffContainer(br) {
-		return readNLRNLV2(br, g)
+	if err := persist.RejectLegacy(br, nlrnlLegacyMagic); err != nil {
+		return nil, fmt.Errorf("index: reading NLRNL: %w", err)
 	}
-	if err := expectMagic(br, nlrnlMagic); err != nil {
-		return nil, err
-	}
-	x, err := readNLRNLBody(br, g)
-	if err != nil {
-		return nil, err
-	}
-	if err := requireStrictEOF(br, "NLRNL"); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-func readNLRNLV2(br *bufio.Reader, g graph.Topology) (*NLRNL, error) {
 	pr, err := persist.NewReader(br)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading NLRNL: %w", err)
@@ -449,15 +377,4 @@ func readNLRNLBody(r io.Reader, g graph.Topology) (*NLRNL, error) {
 		}
 	}
 	return x, nil
-}
-
-func expectMagic(br *bufio.Reader, magic string) error {
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return fmt.Errorf("index: reading magic: %w", err)
-	}
-	if string(got) != magic {
-		return fmt.Errorf("index: bad magic %q, want %q", got, magic)
-	}
-	return nil
 }

@@ -1,15 +1,16 @@
 // Package obs is the KTG stack's observability layer: an atomic
 // counter/gauge/histogram registry with Prometheus-text, JSON, and
 // expvar exposition; slog-based structured logging with a no-op
-// package default; a sampled span-style Tracer wired through the
-// search and index-build hot paths; and a debug HTTP server exposing
-// /metrics, /debug/vars, and /debug/pprof.
+// package default; W3C-traceparent spans with a bounded trace store,
+// which the search core feeds one completed child span per phase; a
+// request flight recorder; and a debug HTTP server exposing /metrics,
+// /debug/vars, and /debug/pprof.
 //
 // The package is designed so that the branch-and-bound hot path pays
-// near-zero cost when observability is off: a disabled tracer is a nil
-// interface (one branch per node), the default logger discards before
-// formatting, and all metric mutations are single atomic adds batched
-// at search boundaries rather than per node.
+// near-zero cost when observability is off: a search outside a traced
+// request holds a nil span (every call a no-op), the default logger
+// discards before formatting, and all metric mutations are single
+// atomic adds batched at search boundaries rather than per node.
 package obs
 
 import (

@@ -334,25 +334,3 @@ func (s *Span) AddCompletedChild(name string, start time.Time, d time.Duration, 
 	mSpans.Inc()
 	s.buf.add(sd, false)
 }
-
-// SpanTracer adapts a Span into the phase Tracer interface: phase
-// timings become completed child spans and tracer events become span
-// events (per-node explore events are already bounded by the span event
-// cap). It lets existing Tracer-wired code feed the distributed trace
-// without knowing about spans.
-func SpanTracer(s *Span) Tracer {
-	if s == nil {
-		return nil
-	}
-	return spanTracer{s}
-}
-
-type spanTracer struct{ s *Span }
-
-func (t spanTracer) Span(phase string, d time.Duration) {
-	t.s.AddCompletedChild(phase, time.Now().Add(-d), d)
-}
-
-func (t spanTracer) Event(phase, name string, value int64) {
-	t.s.Event(phase+"."+name, value)
-}

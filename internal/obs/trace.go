@@ -1,14 +1,11 @@
 package obs
 
-import (
-	"log/slog"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// Phase names used by the KTG stack. A Tracer receives these as its
-// phase argument; custom phases are fine too.
+// Phase names of the search core. Search and Greedy attach one
+// completed child span per phase to the trace span carried by their
+// context (see SpanFromContext), and the query server's flight recorder
+// labels a request's phase timings with them.
 const (
 	// PhaseCompile covers query keyword compilation.
 	PhaseCompile = "compile"
@@ -16,217 +13,11 @@ const (
 	PhaseCandidates = "candidates"
 	// PhaseExplore covers the branch-and-bound exploration.
 	PhaseExplore = "explore"
-	// PhaseIndexBuild covers NL/NLRNL index construction.
-	PhaseIndexBuild = "index-build"
-	// PhaseSerialize covers index save/load.
-	PhaseSerialize = "serialize"
-	// PhaseServe covers one query-server request end to end (admission
-	// wait + search + encoding). The query server emits one span per
-	// request.
-	PhaseServe = "serve"
 )
 
-// Tracer receives span-style phase timings and point events from the
-// search and index-build code. A nil Tracer disables tracing: callers
-// guard every emission with a nil check, so the hot path pays only a
-// single branch per node. Implementations must be safe for concurrent
-// use (index builds and searches may run from multiple goroutines).
-//
-// The interface deliberately uses only builtin and stdlib parameter
-// types so that structurally identical interfaces in other packages
-// (e.g. the public ktg.Tracer) satisfy it without adapters.
-type Tracer interface {
-	// Span records a completed phase and its wall-clock duration.
-	Span(phase string, d time.Duration)
-	// Event records a point measurement inside a phase, e.g.
-	// ("explore", "node", depth) per explored node or
-	// ("explore", "depth3.pruned", n) as an end-of-search summary.
-	Event(phase, name string, value int64)
-}
-
-// SpanRecord is one completed span captured by a CollectTracer. The
-// JSON tags are stable: flight-recorder records embed spans verbatim.
+// SpanRecord is one phase and its wall-clock duration. The JSON tags
+// are stable: flight-recorder records embed spans verbatim.
 type SpanRecord struct {
 	Phase    string        `json:"phase"`
 	Duration time.Duration `json:"duration_ns"`
-}
-
-// EventRecord is one event captured by a CollectTracer.
-type EventRecord struct {
-	Phase string
-	Name  string
-	Value int64
-}
-
-// CollectTracer accumulates spans and events in memory — the tracer of
-// choice for tests and for one-shot CLI runs that dump a trace at exit.
-type CollectTracer struct {
-	mu     sync.Mutex
-	spans  []SpanRecord
-	events []EventRecord
-}
-
-// Span implements Tracer.
-func (t *CollectTracer) Span(phase string, d time.Duration) {
-	t.mu.Lock()
-	t.spans = append(t.spans, SpanRecord{phase, d})
-	t.mu.Unlock()
-}
-
-// Event implements Tracer.
-func (t *CollectTracer) Event(phase, name string, value int64) {
-	t.mu.Lock()
-	t.events = append(t.events, EventRecord{phase, name, value})
-	t.mu.Unlock()
-}
-
-// Spans returns a copy of the captured spans.
-func (t *CollectTracer) Spans() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
-}
-
-// Events returns a copy of the captured events.
-func (t *CollectTracer) Events() []EventRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]EventRecord(nil), t.events...)
-}
-
-// SpanTotal sums the durations of all spans with the given phase.
-func (t *CollectTracer) SpanTotal(phase string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total time.Duration
-	for _, s := range t.spans {
-		if s.Phase == phase {
-			total += s.Duration
-		}
-	}
-	return total
-}
-
-// Len returns the number of captured spans plus events.
-func (t *CollectTracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans) + len(t.events)
-}
-
-// SlogTracer forwards spans and events to a structured logger at Debug
-// level.
-type SlogTracer struct {
-	L *slog.Logger
-}
-
-// Span implements Tracer.
-func (t SlogTracer) Span(phase string, d time.Duration) {
-	t.L.Debug("span", "phase", phase, "dur", d)
-}
-
-// Event implements Tracer.
-func (t SlogTracer) Event(phase, name string, value int64) {
-	t.L.Debug("event", "phase", phase, "name", name, "value", value)
-}
-
-// MetricsTracer folds spans into per-phase duration histograms and
-// events into counters on a registry, so a long-running service gets
-// phase timing distributions on /metrics for free.
-type MetricsTracer struct {
-	Reg *Registry
-	// Prefix namespaces the metric names; default "ktg".
-	Prefix string
-}
-
-// Span implements Tracer.
-func (t MetricsTracer) Span(phase string, d time.Duration) {
-	t.Reg.Histogram(t.prefix()+"_span_"+sanitize(phase)+"_ns", "wall-clock span durations for phase "+phase).
-		Observe(d.Nanoseconds())
-}
-
-// Event implements Tracer.
-func (t MetricsTracer) Event(phase, name string, value int64) {
-	t.Reg.Counter(t.prefix()+"_event_"+sanitize(phase)+"_"+sanitize(name)+"_total", "sum of event values for "+phase+"/"+name).
-		Add(value)
-}
-
-func (t MetricsTracer) prefix() string {
-	if t.Prefix == "" {
-		return "ktg"
-	}
-	return t.Prefix
-}
-
-// sanitize maps a phase/event name onto the Prometheus metric-name
-// alphabet [a-zA-Z0-9_].
-func sanitize(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-		default:
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// sampledTracer forwards all spans but only every Nth event.
-type sampledTracer struct {
-	inner Tracer
-	every int64
-	n     atomic.Int64
-}
-
-// Sampled wraps a tracer so only one event in every `every` is
-// forwarded (spans always pass — they are rare and cheap). every <= 1
-// returns the tracer unchanged. Use this to keep per-node explore
-// events affordable on big searches.
-func Sampled(t Tracer, every int) Tracer {
-	if t == nil || every <= 1 {
-		return t
-	}
-	return &sampledTracer{inner: t, every: int64(every)}
-}
-
-func (t *sampledTracer) Span(phase string, d time.Duration) { t.inner.Span(phase, d) }
-
-func (t *sampledTracer) Event(phase, name string, value int64) {
-	if t.n.Add(1)%t.every == 0 {
-		t.inner.Event(phase, name, value)
-	}
-}
-
-// multiTracer fans out to several tracers.
-type multiTracer []Tracer
-
-// Multi returns a tracer that forwards to every non-nil tracer in ts.
-// With zero or one live tracer it avoids the fan-out wrapper entirely.
-func Multi(ts ...Tracer) Tracer {
-	live := make(multiTracer, 0, len(ts))
-	for _, t := range ts {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-func (m multiTracer) Span(phase string, d time.Duration) {
-	for _, t := range m {
-		t.Span(phase, d)
-	}
-}
-
-func (m multiTracer) Event(phase, name string, value int64) {
-	for _, t := range m {
-		t.Event(phase, name, value)
-	}
 }

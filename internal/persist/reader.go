@@ -8,12 +8,18 @@ import (
 	"io"
 )
 
-// SniffContainer reports whether br starts with the framed-container
-// magic, without consuming it. Loaders use it to route between the v2
-// container and the legacy headerless formats.
-func SniffContainer(br *bufio.Reader) bool {
-	head, err := br.Peek(len(Magic))
-	return err == nil && bytes.Equal(head, []byte(Magic))
+// RejectLegacy recognises a headerless v1 snapshot, the format that
+// predates this container, by its magic without consuming input. Such a
+// file yields an error wrapping ErrVersionSkew, so loaders rebuild it as
+// version skew rather than report it corrupt; v1 payloads are never
+// parsed. Any other input returns nil and is left to NewReader.
+func RejectLegacy(br *bufio.Reader, legacyMagic string) error {
+	head, err := br.Peek(len(legacyMagic))
+	if err == nil && string(head) == legacyMagic {
+		return fmt.Errorf("persist: legacy v1 snapshot %q, this build reads container v%d: %w",
+			head, FormatVersion, ErrVersionSkew)
+	}
+	return nil
 }
 
 // Reader parses one framed snapshot container. Sections must be

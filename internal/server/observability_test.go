@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -188,15 +189,32 @@ func TestRequestObservabilityEndToEnd(t *testing.T) {
 		if rec["dataset"] != "reviewers" || rec["algorithm"] != "vkc-deg" {
 			t.Errorf("record %s: dataset %v algorithm %v", id, rec["dataset"], rec["algorithm"])
 		}
-		phases, _ := rec["phases"].([]any)
-		if len(phases) == 0 {
-			t.Errorf("record %s has no phase spans", id)
-		}
 		stats, _ := rec["stats"].(map[string]any)
 		if stats == nil {
 			t.Errorf("record %s has no stats", id)
 		} else if _, ok := stats["nodes"]; !ok {
 			t.Errorf("record %s stats lack nodes: %v", id, stats)
+		}
+		// The record's phases are the search's own phase timings: one
+		// per phase that took time, each equal to the matching stats
+		// duration.
+		phases := map[string]float64{}
+		for _, raw := range rec["phases"].([]any) {
+			p := raw.(map[string]any)
+			phases[p["phase"].(string)] = p["duration_ns"].(float64)
+		}
+		want := map[string]float64{}
+		for phase, key := range map[string]string{
+			obs.PhaseCompile:    "compile_ns",
+			obs.PhaseCandidates: "candidate_ns",
+			obs.PhaseExplore:    "explore_ns",
+		} {
+			if ns, _ := stats[key].(float64); ns > 0 {
+				want[phase] = ns
+			}
+		}
+		if _, ok := want[obs.PhaseExplore]; !ok || !reflect.DeepEqual(phases, want) {
+			t.Errorf("record %s phases = %v, want %v from its stats (explore included)", id, phases, want)
 		}
 		if rec["params_digest"] == "" {
 			t.Errorf("record %s lacks a params digest", id)

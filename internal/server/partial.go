@@ -73,11 +73,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	dsLabel, algLabel := labelUnknown, labelUnknown
 	defer func() {
-		d := time.Since(start)
-		mPartialLatency.With(dsLabel, algLabel).Observe(d.Nanoseconds())
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Span(obs.PhaseServe, d)
-		}
+		mPartialLatency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds())
 	}()
 
 	req, aerr := decodeRequest(r, kindPartial, limits{
@@ -224,17 +220,14 @@ func (s *Server) runPartial(reqCtx context.Context, req *QueryRequest, ds *Datas
 		Tenuity:   req.Tenuity,
 		TopN:      req.TopN,
 	}
-	phases := &obs.CollectTracer{}
 	opts := ktg.SearchOptions{
 		Algorithm: wireAlgorithms[req.Algorithm],
 		Index:     idx,
 		MaxNodes:  req.MaxNodes,
 		Context:   ctx,
 		Logger:    logger,
-		Tracer:    phases,
 		Probe:     probe,
 	}
-	defer func() { reqRec.Phases = phases.Spans() }()
 
 	pr, err := nw.SearchPartial(q, opts, ktg.CandidateSlice{
 		Index: req.SliceIndex,
@@ -243,6 +236,7 @@ func (s *Server) runPartial(reqCtx context.Context, req *QueryRequest, ds *Datas
 	if pr == nil {
 		return nil, badRequest("invalid_query", "%v", err)
 	}
+	reqRec.Phases = phaseRecords(pr.Stats)
 	if reqCtx.Err() != nil {
 		return nil, reqCtx.Err()
 	}

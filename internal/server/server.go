@@ -61,8 +61,6 @@ type Config struct {
 	DegradeQueueWait time.Duration
 	// Logger receives request logs; nil uses slog.Default.
 	Logger *slog.Logger
-	// Tracer receives one PhaseServe span per request; nil disables.
-	Tracer obs.Tracer
 	// Recorder captures completed /v1 requests for the flight-recorder
 	// debug endpoints (/debug/requests, /debug/requests/slow,
 	// /debug/inflight). nil creates a private recorder with default
@@ -342,11 +340,7 @@ func (s *Server) serveSearch(w http.ResponseWriter, r *http.Request, kind string
 	}
 	dsLabel, algLabel := labelUnknown, labelUnknown
 	defer func() {
-		d := time.Since(start)
-		latency.With(dsLabel, algLabel).Observe(d.Nanoseconds())
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Span(obs.PhaseServe, d)
-		}
+		latency.With(dsLabel, algLabel).Observe(time.Since(start).Nanoseconds())
 	}()
 
 	req, aerr := decodeRequest(r, kind, limits{
@@ -594,21 +588,15 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		Tenuity:   req.Tenuity,
 		TopN:      req.TopN,
 	}
-	// The per-request collector captures the core's phase spans
-	// (compile, candidates, explore) for this request's flight-recorder
-	// record; the request-scoped logger makes core-level lines carry
-	// request_id.
-	phases := &obs.CollectTracer{}
+	// The request-scoped logger makes core-level lines carry request_id.
 	opts := ktg.SearchOptions{
 		Algorithm: wireAlgorithms[req.Algorithm],
 		Index:     idx,
 		MaxNodes:  req.MaxNodes,
 		Context:   ctx,
 		Logger:    logger,
-		Tracer:    phases,
 		Probe:     probe,
 	}
-	defer func() { reqRec.Phases = phases.Spans() }()
 
 	resp = &QueryResponse{Dataset: ds.Name, Algorithm: req.Algorithm, Epoch: epoch}
 	if resp.Algorithm == "" {
@@ -650,6 +638,7 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 		// message rather than masking it.
 		return nil, false, badRequest("invalid_query", "%v", err)
 	}
+	reqRec.Phases = phaseRecords(res.Stats)
 	if reqCtx.Err() != nil {
 		// The client went away (or shutdown force-cancelled the base
 		// context) mid-search: there is nobody to answer. writeError
@@ -686,6 +675,23 @@ func (s *Server) runSearch(reqCtx context.Context, req *QueryRequest, ds *Datase
 	// Partial and degraded results are request-specific compromises, not
 	// the query's true answer — never cache or share them.
 	return resp, !resp.Partial && !resp.Degraded, nil
+}
+
+// phaseRecords lists a search's compile, candidates and explore times
+// for its flight-recorder record, skipping phases the algorithm did not
+// run (greedy builds no candidate set).
+func phaseRecords(st ktg.SearchStats) []obs.SpanRecord {
+	var out []obs.SpanRecord
+	for _, p := range [...]obs.SpanRecord{
+		{Phase: obs.PhaseCompile, Duration: st.CompileTime},
+		{Phase: obs.PhaseCandidates, Duration: st.CandidateTime},
+		{Phase: obs.PhaseExplore, Duration: st.ExploreTime},
+	} {
+		if p.Duration > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // registerSearch puts one in-flight search on the process-wide

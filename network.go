@@ -22,7 +22,6 @@ type Network struct {
 	attrs  *keywords.Attributes
 	name   string
 	logger *slog.Logger
-	tracer Tracer
 }
 
 // SetLogger injects a structured logger used by every search and index
@@ -30,10 +29,6 @@ type Network struct {
 // overrides it. nil restores the package default (set with
 // SetDefaultLogger; silent out of the box).
 func (n *Network) SetLogger(l *slog.Logger) { n.logger = l }
-
-// SetTracer injects a tracer used by every index build on this network
-// and by searches whose SearchOptions.Tracer is nil. nil disables.
-func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
 // Name returns the network's label ("" unless set by a loader/generator).
 func (n *Network) Name() string { return n.name }
@@ -65,7 +60,7 @@ func (n *Network) VocabularySize() int { return n.attrs.Vocabulary().Size() }
 func (n *Network) AverageDegree() float64 { return n.g.AverageDegree() }
 
 // withGraph returns a shallow copy of the network serving a different
-// topology over the same keyword profiles, logger, and tracer. The live
+// topology over the same keyword profiles and logger. The live
 // mutation layer publishes one such copy per epoch; each copy is itself
 // immutable, preserving the Network contract.
 func (n *Network) withGraph(g *graph.Graph) *Network {

@@ -10,36 +10,6 @@ import (
 	"ktg/internal/obs"
 )
 
-// Tracer receives span-style phase timings and point events from
-// searches and index builds. It mirrors the internal observability
-// layer's interface exactly (builtin/stdlib parameter types only), so
-// any implementation plugs straight into the engine with no adapter.
-// A nil tracer disables tracing; the search hot path then pays a single
-// branch per branch-and-bound node.
-type Tracer interface {
-	// Span records a completed phase and its wall-clock duration.
-	Span(phase string, d time.Duration)
-	// Event records a point measurement inside a phase.
-	Event(phase, name string, value int64)
-}
-
-// Phase names delivered to a Tracer.
-const (
-	// TracePhaseCompile covers query keyword compilation.
-	TracePhaseCompile = obs.PhaseCompile
-	// TracePhaseCandidates covers the initial candidate-set build.
-	TracePhaseCandidates = obs.PhaseCandidates
-	// TracePhaseExplore covers branch-and-bound exploration. Per-node
-	// "node" events carry the node's depth; end-of-search
-	// "depth<d>.nodes/pruned/filtered" events carry the per-depth
-	// totals.
-	TracePhaseExplore = obs.PhaseExplore
-	// TracePhaseIndexBuild covers NL/NLRNL construction.
-	TracePhaseIndexBuild = obs.PhaseIndexBuild
-	// TracePhaseSerialize covers index save/load.
-	TracePhaseSerialize = obs.PhaseSerialize
-)
-
 // SetDefaultLogger installs the process-wide structured logger used by
 // every search and index build that was not handed a more specific one
 // via Network.SetLogger or SearchOptions.Logger. The library default

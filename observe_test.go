@@ -7,35 +7,10 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"ktg"
 )
-
-// recordingTracer implements the public ktg.Tracer interface.
-type recordingTracer struct {
-	mu     sync.Mutex
-	spans  map[string]int
-	events map[string]int
-}
-
-func newRecordingTracer() *recordingTracer {
-	return &recordingTracer{spans: map[string]int{}, events: map[string]int{}}
-}
-
-func (t *recordingTracer) Span(phase string, d time.Duration) {
-	t.mu.Lock()
-	t.spans[phase]++
-	t.mu.Unlock()
-}
-
-func (t *recordingTracer) Event(phase, name string, value int64) {
-	t.mu.Lock()
-	t.events[phase+"/"+name]++
-	t.mu.Unlock()
-}
 
 func TestFeasibleCountPlumbed(t *testing.T) {
 	n := reviewerNetwork(t)
@@ -99,36 +74,6 @@ func TestSearchStatsJSONRoundTrip(t *testing.T) {
 	if back.Nodes != res.Stats.Nodes || back.Feasible != res.Stats.Feasible ||
 		back.ExploreTime != res.Stats.ExploreTime {
 		t.Errorf("round trip changed stats: %+v vs %+v", back, res.Stats)
-	}
-}
-
-func TestNetworkTracerInjection(t *testing.T) {
-	n := reviewerNetwork(t)
-	tr := newRecordingTracer()
-	n.SetTracer(tr)
-	if _, err := n.Search(reviewerQuery, ktg.SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range []string{ktg.TracePhaseCompile, ktg.TracePhaseCandidates, ktg.TracePhaseExplore} {
-		if tr.spans[phase] == 0 {
-			t.Errorf("network tracer saw no %q span", phase)
-		}
-	}
-	// Index builds route through the same tracer.
-	if _, err := n.BuildNLRNL(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.spans[ktg.TracePhaseIndexBuild] == 0 {
-		t.Error("network tracer saw no index-build span")
-	}
-
-	// A per-search tracer overrides the network one.
-	perSearch := newRecordingTracer()
-	if _, err := n.Search(reviewerQuery, ktg.SearchOptions{Tracer: perSearch}); err != nil {
-		t.Fatal(err)
-	}
-	if perSearch.spans[ktg.TracePhaseExplore] == 0 {
-		t.Error("per-search tracer not used")
 	}
 }
 

@@ -99,10 +99,6 @@ type SearchOptions struct {
 	// must not review them. Every candidate within Tenuity hops of a
 	// query vertex is removed before the search.
 	QueryVertices []Vertex
-	// Tracer receives phase spans (compile, candidate build, explore)
-	// and sampled explore events for this search. nil disables tracing
-	// at near-zero hot-path cost.
-	Tracer Tracer
 	// Probe collects a per-query explain plan (bound trajectory,
 	// per-depth prune/filter breakdown) and publishes lock-free live
 	// progress snapshots. nil disables collection at the cost of one
@@ -253,7 +249,7 @@ func (n *Network) SearchGreedy(q Query, idx DistanceIndex, seeds int) (*Result, 
 }
 
 // SearchGreedyWith is SearchGreedy with full options: opts.Index,
-// opts.Context, opts.Tracer, and opts.Logger are honored (the other
+// opts.Context, opts.Probe, and opts.Logger are honored (the other
 // fields only apply to the exact algorithms). On cancellation the
 // groups completed so far are returned together with an error wrapping
 // ctx.Err().
@@ -262,7 +258,6 @@ func (n *Network) SearchGreedyWith(q Query, opts SearchOptions, seeds int) (*Res
 	gopts := core.GreedyOptions{
 		Seeds:   seeds,
 		Context: opts.Context,
-		Tracer:  copts.Tracer,
 		Logger:  copts.Logger,
 		Probe:   opts.Probe,
 	}
@@ -322,11 +317,6 @@ func (n *Network) lower(q Query, opts SearchOptions) (core.Query, core.Options) 
 	}
 	if opts.Index != nil {
 		copts.Oracle = opts.Index
-	}
-	if opts.Tracer != nil {
-		copts.Tracer = opts.Tracer
-	} else if n.tracer != nil {
-		copts.Tracer = n.tracer
 	}
 	// Logger resolution: per-search beats per-Network beats the package
 	// default (applied inside core via obs.Or).

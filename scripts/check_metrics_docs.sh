@@ -1,9 +1,7 @@
 #!/bin/sh
 # Metrics-drift gate: every statically named ktg_* metric registered in
 # non-test Go code must appear in README.md's metrics reference, so the
-# docs cannot silently fall behind the code. Dynamically prefixed tracer
-# metrics (obs.MetricsTracer's ktg_span_* / ktg_event_*) have no string
-# literal here and are documented as families instead.
+# docs cannot silently fall behind the code.
 set -eu
 cd "$(dirname "$0")/.."
 

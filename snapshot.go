@@ -19,9 +19,7 @@ type SnapshotOutcome = index.LoadOutcome
 // and the index is rebuilt from the graph instead. Only a rebuild
 // failure returns an error.
 func (n *Network) LoadOrBuildNL(path string, h int) (*NLIndex, SnapshotOutcome, error) {
-	nl, out, err := index.LoadOrBuildNL(path, n.g, index.NLOptions{
-		H: h, Tracer: n.tracer, Logger: n.logger,
-	})
+	nl, out, err := index.LoadOrBuildNL(path, n.g, index.NLOptions{H: h, Logger: n.logger})
 	if err != nil {
 		return nil, out, err
 	}
@@ -30,9 +28,7 @@ func (n *Network) LoadOrBuildNL(path string, h int) (*NLIndex, SnapshotOutcome, 
 
 // LoadOrBuildNLRNL is LoadOrBuildNL for the NLRNL index.
 func (n *Network) LoadOrBuildNLRNL(path string) (*NLRNLIndex, SnapshotOutcome, error) {
-	x, out, err := index.LoadOrBuildNLRNL(path, n.g, index.NLRNLOptions{
-		Tracer: n.tracer, Logger: n.logger,
-	})
+	x, out, err := index.LoadOrBuildNLRNL(path, n.g, index.NLRNLOptions{Logger: n.logger})
 	if err != nil {
 		return nil, out, err
 	}

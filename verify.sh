@@ -27,6 +27,13 @@ fi
 go test -race ./internal/obs ./internal/server ./internal/live ./internal/wal ./internal/shard
 go test -race ./...
 
+# Short fuzz budget for the snapshot readers: they read only the
+# checksummed v2 container, so every input they accept must decode to
+# exactly the saved graph or index.
+go test -run '^$' -fuzz '^FuzzReadBinary$' -fuzztime 10s -parallel 2 ./internal/graph
+go test -run '^$' -fuzz '^FuzzReadNL$' -fuzztime 10s -parallel 2 ./internal/index
+go test -run '^$' -fuzz '^FuzzReadNLRNL$' -fuzztime 10s -parallel 2 ./internal/index
+
 # Perf-drift gate: re-run the committed "small" experiment and fail on
 # >2x regressions against BENCH_small.json (see scripts/check_bench.sh).
 ./scripts/check_bench.sh
